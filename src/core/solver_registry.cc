@@ -6,7 +6,6 @@
 
 #include "baselines/dimv14.h"
 #include "baselines/iterative_greedy.h"
-#include "baselines/store_all_greedy.h"
 #include "baselines/streaming_max_cover.h"
 #include "baselines/threshold_greedy.h"
 #include "core/instance.h"
@@ -100,6 +99,8 @@ RunResult RunStreamingMaxCover(RunContext& ctx) {
 
 /// Store-all wrapper turning any OfflineSolver into a one-pass
 /// streaming run: buffer F (Θ(total_size) words), solve in memory.
+/// RunOffline<GreedySolver> is both offline_greedy and Figure 1.1's
+/// store-all row, store_all_greedy.
 template <typename Solver>
 RunResult RunOffline(RunContext& ctx) {
   SpaceTracker tracker;
@@ -175,11 +176,7 @@ void RegisterBuiltins(SolverRegistry& registry) {
       Kind::kStreaming, RunIterSetCover);
   add("store_all_greedy",
       "greedy, store-all: 1 pass, O(mn) space, ln n approx",
-      Kind::kStreaming,
-      [](RunContext& ctx) {
-        return FromBaseline(
-            StoreAllGreedy(ctx.stream, ctx.options.kernel));
-      });
+      Kind::kStreaming, RunOffline<GreedySolver>);
   add("iterative_greedy",
       "greedy, pass-per-pick: n passes, O(n) space, ln n approx",
       Kind::kStreaming,

@@ -228,7 +228,6 @@ OfflineResult ExactSolver::Solve(const SetSystem& system) const {
   OfflineResult result;
   result.cover.set_ids = ctx.best;
   result.proven_optimal = !ctx.budget_exhausted;
-  result.work = ctx.nodes;
   return result;
 }
 

@@ -1,39 +1,29 @@
 #include "offline/max_cover.h"
 
-#include <queue>
 #include <utility>
 
+#include "offline/greedy.h"
+#include "offline/lazy_greedy.h"
+#include "setsystem/transposed_index.h"
 #include "util/bitset.h"
 #include "util/check.h"
-#include "util/cover_kernels.h"
 
 namespace streamcover {
 
 MaxCoverResult GreedyMaxCover(const SetSystem& system, uint32_t budget,
                               KernelPolicy kernel) {
-  MaxCoverResult result;
+  // GreedySolver's engine and row order, capped at `budget` picks: the
+  // result is the first `budget` picks of GreedySolver().Solve(system).
+  const SetSystemRows rows{system, kernel};
+  const TransposedIndex index = TransposeRows(rows, system.num_elements());
   DynamicBitset uncovered(system.num_elements(), true);
-
-  // Lazy greedy, same structure as GreedySolver but budget-capped.
-  using Entry = std::pair<size_t, uint32_t>;
-  std::priority_queue<Entry> heap;
-  for (uint32_t s = 0; s < system.num_sets(); ++s) {
-    size_t size = system.SetSize(s);
-    if (size > 0) heap.push({size, s});
+  const LazyGreedyRun run =
+      LazyGreedy(rows, index, uncovered, system.num_elements(), budget);
+  MaxCoverResult result;
+  for (uint32_t row : run.picks) {
+    result.cover.set_ids.push_back(rows.set_id(row));
   }
-  while (result.cover.size() < budget && !heap.empty()) {
-    auto [stale_gain, s] = heap.top();
-    heap.pop();
-    const size_t gain = CountUncovered(system.GetSet(s), uncovered, kernel);
-    if (gain == 0) continue;
-    if (!heap.empty() && gain < heap.top().first) {
-      heap.push({gain, s});
-      continue;
-    }
-    result.cover.set_ids.push_back(s);
-    result.covered += gain;
-    MarkCovered(system.GetSet(s), uncovered, kernel);
-  }
+  result.covered = run.covered;
   return result;
 }
 

@@ -23,8 +23,6 @@ struct OfflineResult {
   Cover cover;
   /// True iff `cover` is provably optimal (exact solver within budget).
   bool proven_optimal = false;
-  /// Solver-specific work counter (greedy: sets scanned; exact: B&B nodes).
-  uint64_t work = 0;
   /// Gain-maintenance accounting (solvers that track residual gains;
   /// zero elsewhere): individual O(1) gain decrements applied, and
   /// candidate-gain evaluations performed. See

@@ -9,8 +9,8 @@
 // direction: a CSR over element → {sets containing it}, built in one
 // counting sweep + one fill sweep over the candidates (and, for
 // iterSetCover, per guess from that guess's stored projections — see
-// offline/greedy.cc, which transposes whatever system the Size-Test
-// pass handed it). When elements become covered, GainTracker walks
+// offline/lazy_greedy.h, whose TransposeRows every greedy caller runs
+// over its own rows). When elements become covered, GainTracker walks
 // exactly the affected columns and decrements exact gains — each
 // (element, set) pair is touched at most ONCE over the whole run, so
 // total maintenance is nnz(F') instead of rounds × nnz(F').
@@ -40,8 +40,9 @@
 namespace streamcover {
 
 /// CSR over element → indices of the sets that contain it. Set indices
-/// are whatever the builder's fill calls said — candidate insertion
-/// order for MergeStage, set ids for a whole SetSystem. Columns list
+/// are whatever the builder's fill calls said — LazyGreedy rows:
+/// candidate insertion order for MergeStage, sets last-first for
+/// GreedySolver. Columns list
 /// sets in fill order (ascending when sets are filled in index order).
 class TransposedIndex {
  public:
@@ -61,9 +62,6 @@ class TransposedIndex {
       SC_DCHECK_LT(element, num_elements_);
       ++counts_[static_cast<size_t>(element) + 1];
     }
-    void CountSet(std::span<const uint32_t> elems) {
-      for (uint32_t e : elems) CountElement(e);
-    }
 
     /// Freezes the counts into column offsets. Call exactly once,
     /// between the counting and fill sweeps.
@@ -72,9 +70,6 @@ class TransposedIndex {
     void FillElement(uint32_t set_index, uint32_t element) {
       SC_DCHECK(prepared_);
       entries_[cursors_[element]++] = set_index;
-    }
-    void FillSet(uint32_t set_index, std::span<const uint32_t> elems) {
-      for (uint32_t e : elems) FillElement(set_index, e);
     }
 
     /// Finishes the index; every counted pair must have been filled.

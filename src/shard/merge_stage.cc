@@ -1,43 +1,35 @@
 #include "shard/merge_stage.h"
 
-#include <algorithm>
-#include <limits>
-
+#include "offline/lazy_greedy.h"
 #include "util/check.h"
-#include "util/heap.h"
 #include "util/mathutil.h"
 
 namespace streamcover {
-namespace {
 
-/// Heap key: gain in the high half, earliest-candidate-wins tie-break
-/// in the low half (max-heap, so the low half stores the complement of
-/// the insertion index).
-uint64_t Pack(uint64_t gain, size_t idx) {
-  return (gain << 32) |
-         (std::numeric_limits<uint32_t>::max() - static_cast<uint32_t>(idx));
-}
-uint64_t PackedGain(uint64_t key) { return key >> 32; }
-size_t PackedIndex(uint64_t key) {
-  return std::numeric_limits<uint32_t>::max() -
-         static_cast<uint32_t>(key & 0xFFFFFFFFULL);
-}
+/// The candidates, in insertion order, as LazyGreedy rows.
+struct MergeStage::CandidateRows {
+  const MergeStage& stage;
 
-/// Visits every set bit of a dense row, ascending.
-template <typename Fn>
-void ForEachRowBit(std::span<const uint64_t> row, Fn&& fn) {
-  for (size_t w = 0; w < row.size(); ++w) {
-    uint64_t bits = row[w];
-    while (bits != 0) {
-      const uint32_t e = static_cast<uint32_t>(
-          w * 64 + static_cast<size_t>(__builtin_ctzll(bits)));
-      fn(e);
-      bits &= bits - 1;
+  uint32_t size() const { return static_cast<uint32_t>(stage.ids_.size()); }
+  template <typename Fn>
+  void ForEachElement(uint32_t i, Fn&& fn) const {
+    if (!stage.IsDense(i)) {
+      for (uint32_t e : stage.SparseElems(i)) fn(e);
+      return;
+    }
+    const std::span<const uint64_t> row =
+        stage.dense_.Row(stage.dense_row_[i]);
+    for (size_t w = 0; w < row.size(); ++w) {
+      for (uint64_t bits = row[w]; bits != 0; bits &= bits - 1) {
+        fn(static_cast<uint32_t>(w * 64 + __builtin_ctzll(bits)));
+      }
     }
   }
-}
-
-}  // namespace
+  uint64_t Pick(uint32_t i, DynamicBitset& mask,
+                std::vector<uint32_t>& newly) const {
+    return stage.PickInto(i, mask, newly);
+  }
+};
 
 MergeStage::MergeStage(uint32_t num_elements, uint32_t num_sets,
                        MergeStageOptions options)
@@ -57,7 +49,6 @@ void MergeStage::AddCandidate(uint32_t id,
   }
   seen_ids_.Set(id);
   ids_.push_back(id);
-  sizes_.push_back(static_cast<uint32_t>(elems.size()));
   if (ShouldStoreDense(elems.size(), num_elements_)) {
     dense_row_.push_back(dense_.AddRow(elems));
     offsets_.push_back(elems_.size());
@@ -98,87 +89,23 @@ MergeOutcome MergeStage::Merge() {
   const uint64_t required =
       num_elements_ - AllowedUncovered(num_elements_,
                                        options_.coverage_fraction);
-  return options_.gain == GainMaintenance::kTransposed
-             ? MergeTransposed(required)
-             : MergeRescan(required);
-}
+  if (options_.gain == GainMaintenance::kRescan) return MergeRescan(required);
 
-MergeOutcome MergeStage::MergeTransposed(uint64_t required) {
+  const CandidateRows rows{*this};
+  const TransposedIndex index = TransposeRows(rows, num_elements_);
+  DynamicBitset uncovered(num_elements_, true);
+  const LazyGreedyRun run = LazyGreedy(rows, index, uncovered, required);
+  // Mask, heap entries, index and tracker, plus one word per pick.
+  tracker_.Charge(uncovered.WordCount() + run.working_words +
+                  index.word_count() + run.picks.size());
+
   MergeOutcome outcome;
-  LiveMask uncovered(num_elements_, true);
-
-  // One count sweep + one fill sweep over the candidates builds the
-  // element → candidate-index columns (candidate order => sorted
-  // columns).
-  TransposedIndex::Builder builder(num_elements_);
-  for (size_t i = 0; i < ids_.size(); ++i) {
-    if (IsDense(i)) {
-      ForEachRowBit(dense_.Row(dense_row_[i]),
-                    [&](uint32_t e) { builder.CountElement(e); });
-    } else {
-      builder.CountSet(SparseElems(i));
-    }
-  }
-  builder.PrepareFill();
-  for (size_t i = 0; i < ids_.size(); ++i) {
-    const uint32_t idx = static_cast<uint32_t>(i);
-    if (IsDense(i)) {
-      ForEachRowBit(dense_.Row(dense_row_[i]),
-                    [&](uint32_t e) { builder.FillElement(idx, e); });
-    } else {
-      builder.FillSet(idx, SparseElems(i));
-    }
-  }
-  const TransposedIndex index = std::move(builder).Build();
-  GainTracker gains(&index, static_cast<uint32_t>(ids_.size()));
-  gains.InitFromMask(uncovered.bits());
-  // The initial mask is all-live and spans are duplicate-free, so every
-  // starting gain equals the stored size — seed the heap from sizes_.
-  std::vector<uint32_t> all_covered;  // reused per pick
-  std::vector<uint64_t> heap;
-  heap.reserve(ids_.size());
-  for (size_t i = 0; i < ids_.size(); ++i) {
-    SC_DCHECK_EQ(gains.gain(static_cast<uint32_t>(i)), sizes_[i]);
-    if (sizes_[i] > 0) heap.push_back(Pack(sizes_[i], i));
-  }
-  tracker_.Charge(uncovered.WordCount() + heap.size() + index.word_count() +
-                  gains.word_count());
-  std::make_heap(heap.begin(), heap.end());
-
-  while (outcome.covered < required && !heap.empty()) {
-    const uint64_t top = heap.front();
-    const size_t idx = PackedIndex(top);
-    const uint64_t gain = gains.gain(static_cast<uint32_t>(idx));
-    ++counters_.sets_touched;
-    if (gain == 0) {
-      // Dead entry: fully covered by earlier picks. Drop it.
-      std::pop_heap(heap.begin(), heap.end());
-      heap.pop_back();
-      continue;
-    }
-    if (gain != PackedGain(top)) {
-      // Stale claim (claims only age upward). Re-key the root in place
-      // and sift once — pop-and-reuse instead of pop + push.
-      heap.front() = Pack(gain, idx);
-      SiftDownRoot(heap);
-      continue;
-    }
-    // Claim is current, so this root majorizes every candidate's true
-    // gain: it is the exact greedy argmax. Pop and take it.
-    std::pop_heap(heap.begin(), heap.end());
-    heap.pop_back();
-    const uint64_t realized = PickInto(idx, uncovered.bits(), all_covered);
-    SC_DCHECK_EQ(realized, gain);
-    // The pick's own column entries zero its tracked gain along with
-    // everyone else's — a popped candidate never needs tombstoning.
-    gains.OnCovered(all_covered);
-    outcome.covered += realized;
-    outcome.cover.set_ids.push_back(ids_[idx]);
-    ++counters_.rounds;
-    tracker_.Charge(1);
-  }
-  counters_.gain_updates = gains.gain_updates();
+  for (uint32_t i : run.picks) outcome.cover.set_ids.push_back(ids_[i]);
+  outcome.covered = run.covered;
   outcome.success = outcome.covered >= required;
+  counters_.rounds = run.picks.size();
+  counters_.sets_touched = run.sets_touched;
+  counters_.gain_updates = run.gain_updates;
   return outcome;
 }
 

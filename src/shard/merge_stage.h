@@ -16,16 +16,12 @@
 // the smaller of the two forms.
 //
 // Gain maintenance (MergeStageOptions::gain):
-//   * kTransposed (default) — output-sensitive: an element→candidates
-//     TransposedIndex is built over the union (one count + one fill
-//     sweep), a GainTracker keeps every candidate's residual gain
-//     exact by decrementing along the picked set's newly covered
-//     elements, and a lazy-deletion max-heap pops candidates whose
-//     cached claim matches the tracked gain. A stale root is re-keyed
-//     in place (one sift-down) instead of popped and re-pushed, and a
-//     root whose claim is still current is accepted directly — the
-//     pop-and-reuse fast path. Total maintenance is nnz(candidates):
-//     each (element, candidate) pair is touched at most once.
+//   * kTransposed (default) — output-sensitive: the LazyGreedy engine
+//     (offline/lazy_greedy.h) transposes the union into an
+//     element→candidates index (one count + one fill sweep), keeps
+//     every candidate's residual gain exact, and picks from a lazily
+//     re-keyed max-heap. Total maintenance is nnz(candidates): each
+//     (element, candidate) pair is touched at most once.
 //   * kRescan — the A/B baseline: every unpicked candidate's gain is
 //     recomputed from the mask each round (rounds × candidates kernel
 //     calls). Same covers, byte for byte; only the work differs.
@@ -33,10 +29,7 @@
 // Both modes pick the exact greedy argmax with earliest-inserted-wins
 // tie-breaking, so the merged cover is a pure function of the candidate
 // sequence — identical across modes, kernels, shard sources, and
-// thread counts. (The heap mode's accept rule "claim == tracked gain"
-// guarantees this: claims are only stale upward, so a current-claim
-// root majorizes every other candidate's gain, and the packed key's
-// complement-index low half resolves ties toward the earliest insert.)
+// thread counts.
 //
 // Counters: `sets_touched` counts candidate-gain evaluations (heap
 // inspections in kTransposed, per-round recomputes in kRescan);
@@ -53,7 +46,6 @@
 #include <vector>
 
 #include "setsystem/cover.h"
-#include "setsystem/transposed_index.h"
 #include "stream/space_tracker.h"
 #include "util/bitset.h"
 #include "util/cover_kernels.h"
@@ -124,7 +116,8 @@ class MergeStage {
   uint64_t PickInto(size_t i, DynamicBitset& mask,
                     std::vector<uint32_t>& newly) const;
 
-  MergeOutcome MergeTransposed(uint64_t required);
+  struct CandidateRows;  // LazyGreedy row adapter over the candidates
+
   MergeOutcome MergeRescan(uint64_t required);
 
   const uint32_t num_elements_;
@@ -135,10 +128,8 @@ class MergeStage {
 
   // Candidate storage, insertion order: candidate i is either sparse
   // (elems_[offsets_[i], offsets_[i+1]), dense_row_[i] == kSparse) or
-  // a dense bitset row (dense_.Row(dense_row_[i])). sizes_[i] is the
-  // element count either way.
+  // a dense bitset row (dense_.Row(dense_row_[i])).
   std::vector<uint32_t> ids_;
-  std::vector<uint32_t> sizes_;
   std::vector<uint32_t> dense_row_;
   std::vector<size_t> offsets_{0};
   std::vector<uint32_t> elems_;

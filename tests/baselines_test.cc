@@ -8,9 +8,10 @@
 
 #include "baselines/dimv14.h"
 #include "baselines/iterative_greedy.h"
-#include "baselines/store_all_greedy.h"
 #include "baselines/threshold_greedy.h"
+#include "core/instance.h"
 #include "core/iter_set_cover.h"
+#include "core/solver_registry.h"
 #include "setsystem/generators.h"
 #include "util/mathutil.h"
 
@@ -30,8 +31,9 @@ PlantedInstance MakeInstance(uint64_t seed, uint32_t n = 500,
 
 TEST(StoreAllGreedyTest, OnePassFullSpace) {
   PlantedInstance inst = MakeInstance(1);
-  SetStream stream(&inst.system);
-  BaselineResult r = StoreAllGreedy(stream);
+  Instance instance = Instance::WrapSystem(&inst.system, {"planted", ""});
+  RunResult r = RunSolver("store_all_greedy", instance);
+  ASSERT_TRUE(r.ok()) << r.error;
   ASSERT_TRUE(r.success);
   EXPECT_TRUE(IsFullCover(inst.system, r.cover));
   EXPECT_EQ(r.passes, 1u);
@@ -168,8 +170,8 @@ TEST(BaselineEdgeCaseTest, SingleCoveringSet) {
   b.AddSet({0});
   SetSystem system = std::move(b).Build();
   {
-    SetStream stream(&system);
-    EXPECT_EQ(StoreAllGreedy(stream).cover.size(), 1u);
+    Instance instance = Instance::WrapSystem(&system, {"single", ""});
+    EXPECT_EQ(RunSolver("store_all_greedy", instance).cover.size(), 1u);
   }
   {
     SetStream stream(&system);

@@ -4,11 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "baselines/streaming_max_cover.h"
 #include "baselines/threshold_greedy.h"
 #include "core/iter_set_cover.h"
+#include "offline/greedy.h"
 #include "offline/max_cover.h"
 #include "offline/weighted_greedy.h"
 #include "setsystem/generators.h"
@@ -107,10 +110,17 @@ TEST(MaxCoverTest, GreedyMatchesNemhauserBoundVsBruteForce) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     Rng rng(seed);
     SetSystem system = GenerateUniformRandom(20, 12, 0.25, rng);
+    const std::vector<uint32_t> full =
+        GreedySolver().Solve(system).cover.set_ids;
     for (uint32_t budget : {1u, 2u, 3u}) {
       MaxCoverResult greedy = GreedyMaxCover(system, budget);
       MaxCoverResult opt = BruteForceMaxCover(system, budget);
       EXPECT_LE(greedy.cover.size(), budget);
+      // Same engine and tie-break: the first `budget` greedy picks.
+      const std::vector<uint32_t> prefix(
+          full.begin(), full.begin() + std::min<size_t>(budget, full.size()));
+      EXPECT_EQ(greedy.cover.set_ids, prefix)
+          << "seed " << seed << " budget " << budget;
       EXPECT_GE(static_cast<double>(greedy.covered),
                 (1.0 - 1.0 / std::exp(1.0)) *
                         static_cast<double>(opt.covered) -

@@ -56,18 +56,6 @@ TEST(GreedySolverTest, EmptyInstance) {
   EXPECT_TRUE(r.cover.set_ids.empty());
 }
 
-TEST(GreedySolverTest, SolveTargetsRestrictsToTargets) {
-  SetSystem::Builder b(6);
-  b.AddSet({0, 1, 2});
-  b.AddSet({3});
-  b.AddSet({4, 5});
-  SetSystem s = std::move(b).Build();
-  DynamicBitset targets(6);
-  targets.Set(3);
-  OfflineResult r = GreedySolver::SolveTargets(s, targets);
-  EXPECT_EQ(r.cover.set_ids, (std::vector<uint32_t>{1}));
-}
-
 TEST(GreedySolverTest, AdversarialInstanceShowsLogGap) {
   // On the textbook adversarial family greedy picks the `levels` column
   // sets while OPT = 2 — the ln(n) gap the paper's rho tracks.

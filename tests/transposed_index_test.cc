@@ -46,11 +46,11 @@ SetSystem RandomSystem(uint32_t n, uint32_t m, Rng& rng,
 TransposedIndex IndexOf(const SetSystem& system) {
   TransposedIndex::Builder builder(system.num_elements());
   for (uint32_t s = 0; s < system.num_sets(); ++s) {
-    builder.CountSet(system.GetSet(s));
+    for (uint32_t e : system.GetSet(s)) builder.CountElement(e);
   }
   builder.PrepareFill();
   for (uint32_t s = 0; s < system.num_sets(); ++s) {
-    builder.FillSet(s, system.GetSet(s));
+    for (uint32_t e : system.GetSet(s)) builder.FillElement(s, e);
   }
   return std::move(builder).Build();
 }
