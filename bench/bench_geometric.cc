@@ -21,6 +21,7 @@
 #include "geometry/geom_generators.h"
 #include "geometry/geom_set_cover.h"
 #include "geometry/range_space.h"
+#include "stream/pass_scheduler.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -95,12 +96,15 @@ void PartB() {
         gen.cover_size = 10;
         gen.shape_class = cls;
         GeomInstance inst = GeneratePlantedGeom(gen, rng);
-        ShapeStream stream(&inst.shapes);
+        SetSystem ranges = BuildRangeSpace(inst.points, inst.shapes);
+        SetStream stream(&ranges);
+        PassScheduler scheduler(stream);
         GeomSetCoverOptions options;
         options.delta = 0.25;
         options.sample_constant = 0.05;
         options.seed = seed;
-        GeomStreamingResult r = AlgGeomSC(stream, inst.points, options);
+        GeomStreamingResult r = AlgGeomSC(
+            scheduler, GeomDataset{inst.points, inst.shapes}, options);
         if (!r.success) continue;
         ratio.Add(static_cast<double>(r.cover.size()) /
                   static_cast<double>(inst.planted_cover.size()));

@@ -57,11 +57,10 @@ class Instance {
   /// Owns the generated system and remembers the planted cover.
   static Instance FromPlanted(PlantedInstance planted, InstanceInfo info);
 
-  /// Owns the geometric instance. The abstract view (for kStreaming /
-  /// kOffline solvers) is the range space — set i = trace of shape i —
-  /// materialized lazily on first abstract use, so geometric-only runs
-  /// never pay for it (on the Figure 1.2 family it is a Theta(n^2)-set
-  /// object the geometric algorithm exists to avoid).
+  /// Owns the geometric instance. Its repository is the range space —
+  /// set i = trace of shape i — materialized on first use (NewStream,
+  /// Prepare, CountCovered). Every solver streams it, algGeomSC
+  /// included; the shapes ride beside it in geometry().
   static Instance FromGeometry(GeomInstance geom, InstanceInfo info);
 
   /// File-backed: the repository stays on disk (the model's read-only
@@ -103,9 +102,9 @@ class Instance {
   size_t opt_bound() const { return planted_cover_.size(); }
 
   /// The in-memory system backing this instance, or nullptr when the
-  /// repository is file-backed or a geometric payload whose range space
-  /// has not been needed yet. Used by verifiers; solvers must go
-  /// through NewStream().
+  /// repository is file-backed or a geometric range space not yet
+  /// materialized. Used by verifiers; solvers must go through
+  /// NewStream().
   const SetSystem* materialized() const { return system_; }
 
   /// A fresh stream over the repository with its own pass counter.
@@ -146,8 +145,8 @@ class Instance {
  private:
   Instance() = default;
 
-  /// Builds the range space of a geometric payload on first abstract
-  /// use (no-op otherwise).
+  /// Builds the range space of a geometric payload on first use (no-op
+  /// otherwise).
   void EnsureMaterialized();
 
   InstanceInfo info_;

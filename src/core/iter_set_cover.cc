@@ -8,6 +8,7 @@
 
 #include "core/projection_store.h"
 #include "offline/greedy.h"
+#include "stream/parallel_guesses.h"
 #include "stream/sampling.h"
 #include "util/bitset.h"
 #include "util/check.h"
@@ -436,66 +437,14 @@ StreamingResult IterSetCover(PassScheduler& scheduler,
 
   const uint32_t n = scheduler.stream().num_elements();
   const uint32_t m = scheduler.stream().num_sets();
-  const uint64_t physical_before = scheduler.physical_scans();
-
-  // Guesses k = 2^i, i in [0, log n], registered up front: pass p of
-  // every live guess rides the p-th physical scan.
-  std::vector<std::unique_ptr<GuessConsumer>> guesses;
-  std::vector<size_t> slots;
-  for (uint64_t k = 1;; k *= 2) {
-    guesses.push_back(
-        std::make_unique<GuessConsumer>(k, n, m, options, offline));
-    slots.push_back(scheduler.Register(guesses.back().get()));
-    if (k >= n) break;
-  }
-
-  // Drive rounds only while OUR guesses are live: foreign consumers on
-  // the same scheduler ride these scans but never extend this run's
-  // window or inflate its physical-scan attribution.
-  auto any_guess_live = [&] {
-    for (const auto& guess : guesses) {
-      if (!guess->done()) return true;
-    }
-    return false;
-  };
-  while (any_guess_live()) {
-    // A 0 return with guesses still live means the stream failed
-    // mid-scan (scheduler.stream_failed()); the guesses can never
-    // finish, so stop driving — they surface as unsuccessful results
-    // and RunSolver reports the stream error.
-    if (scheduler.RunRound() == 0) break;
-    if (options.early_exit) RetireHopelessGuesses(guesses);
-  }
-
-  // Winner selection identical to the sequential implementation:
-  // ascending k, replace only on strictly smaller cover. Accounting is
-  // the parallel composition (passes: max; space: sum) plus the new
-  // physical column.
-  StreamingResult best;
-  uint64_t passes_max = 0;
-  uint64_t scans_total = 0;
-  uint64_t space_sum = 0;
-  uint64_t space_max = 0;
-  for (size_t i = 0; i < guesses.size(); ++i) {
-    const uint64_t peak = guesses[i]->peak_words();
-    StreamingResult guess_result =
-        guesses[i]->TakeResult(scheduler.passes(slots[i]));
-    passes_max = std::max(passes_max, guess_result.passes);
-    scans_total += guess_result.sequential_scans;
-    space_sum += peak;
-    space_max = std::max(space_max, peak);
-    if (guess_result.success &&
-        (!best.success || guess_result.cover.size() < best.cover.size())) {
-      best = std::move(guess_result);
-    }
-    scheduler.Retire(slots[i]);
-  }
-  best.passes = passes_max;
-  best.sequential_scans = scans_total;
-  best.physical_scans = scheduler.physical_scans() - physical_before;
-  best.space_words_parallel = space_sum;
-  best.space_words_max_guess = space_max;
-  return best;
+  return RunParallelGuesses(
+      scheduler,
+      [&](uint64_t k) {
+        return std::make_unique<GuessConsumer>(k, n, m, options, offline);
+      },
+      [&](std::vector<std::unique_ptr<GuessConsumer>>& guesses) {
+        if (options.early_exit) RetireHopelessGuesses(guesses);
+      });
 }
 
 StreamingResult IterSetCover(SetStream& stream,

@@ -19,7 +19,8 @@
 // words (Lemma 2.2).
 //
 // Execution model: the guesses are ScanConsumer state machines
-// multiplexed on a PassScheduler — pass p of every live guess is served
+// multiplexed on a PassScheduler by stream/parallel_guesses.h (the
+// driver algGeomSC shares) — pass p of every live guess is served
 // by the p-th physical scan of the repository, exactly the parallel
 // composition the paper's accounting assumes. `physical_scans` is what
 // the repository paid; `passes` (per-guess max) and `sequential_scans`

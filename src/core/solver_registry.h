@@ -97,9 +97,7 @@ struct RunOptions {
   /// every scan of the run's stream polls it at batch granularity and a
   /// fired token unwinds the run through the stream-failure contract,
   /// surfacing RunResult.error == kDeadlineExceededError. Must outlive
-  /// the run. nullptr (default) = uncancellable. Geometric solvers
-  /// stream the shape payload, not a SetSource, and are not yet
-  /// covered.
+  /// the run. nullptr (default) = uncancellable.
   const CancelToken* cancel = nullptr;
 };
 
@@ -111,7 +109,9 @@ struct RunContext {
   /// Shared-scan executor over `stream`, pre-sized with
   /// RunOptions::threads. stream.passes() counts its physical scans.
   PassScheduler& scheduler;
-  /// Points/shapes payload for kGeometric solvers; nullptr otherwise.
+  /// The instance's points/shapes payload, or nullptr when it has none.
+  /// kGeometric solvers stream the range space through `scheduler` and
+  /// read the shapes beside it.
   const GeomDataset* geometry = nullptr;
   const RunOptions& options;
 };
@@ -192,7 +192,7 @@ class SolverRegistry {
   enum class Kind {
     kStreaming,  ///< reads F only through scheduler/stream passes
     kOffline,    ///< buffers the stream, then solves in memory
-    kGeometric,  ///< needs RunContext::geometry; ignores the stream
+    kGeometric,  ///< streams the range space; needs RunContext::geometry
   };
 
   using Runner = std::function<RunResult(RunContext&)>;

@@ -67,7 +67,6 @@ std::vector<std::vector<uint32_t>> RectSplitter::Decompose(
   // Rank interval [lo, hi) of points with x in [x_min, x_max]. Points
   // with equal x are contiguous in rank order, so the interval captures
   // exactly the x-eligible points.
-  auto x_of = [&](uint32_t rank) { return pts[by_rank_[rank]].x; };
   uint32_t lo = static_cast<uint32_t>(
       std::lower_bound(by_rank_.begin(), by_rank_.end(), rect.x_min,
                        [&](uint32_t id, double x) { return pts[id].x < x; }) -
@@ -76,7 +75,6 @@ std::vector<std::vector<uint32_t>> RectSplitter::Decompose(
       std::upper_bound(by_rank_.begin(), by_rank_.end(), rect.x_max,
                        [&](double x, uint32_t id) { return x < pts[id].x; }) -
       by_rank_.begin());
-  (void)x_of;
   if (lo >= hi) return {};
 
   auto collect = [&](uint32_t rank_lo, uint32_t rank_hi) {
@@ -115,33 +113,21 @@ std::vector<std::vector<uint32_t>> RectSplitter::Decompose(
   return {std::move(only)};
 }
 
-CanonicalRep CompCanonicalRep(ShapeStream& stream,
-                              const std::vector<Point>& sample_points,
-                              double w) {
-  RectSplitter splitter(sample_points);
-  TraceStore store;
-  CanonicalRep rep;
-  stream.ForEachShape([&](uint32_t /*id*/, const Shape& shape) {
-    std::vector<uint32_t> trace = TraceOf(shape, sample_points);
-    if (trace.empty()) return;
-    if (static_cast<double>(trace.size()) > w) {
-      // Lemma 4.5 says this happens with probability O(m^-c); store the
-      // whole trace so coverage is never lost, and count the event.
-      ++rep.oversize_ranges;
-      store.Insert(trace);
-      return;
-    }
-    if (const Rect* rect = std::get_if<Rect>(&shape)) {
-      for (auto& piece : splitter.Decompose(*rect)) {
-        store.Insert(piece);
-      }
-    } else {
-      store.Insert(trace);
-    }
-  });
-  rep.sets = store.traces();
-  rep.stored_words = store.total_words();
-  return rep;
+bool CanonicalizeRange(const Shape& shape, const std::vector<uint32_t>& trace,
+                       double w, const RectSplitter& splitter,
+                       TraceStore& store) {
+  if (trace.empty()) return false;
+  if (static_cast<double>(trace.size()) > w) {
+    // Store the whole trace so coverage is never lost.
+    store.Insert(trace);
+    return true;
+  }
+  if (const Rect* rect = std::get_if<Rect>(&shape)) {
+    for (const auto& piece : splitter.Decompose(*rect)) store.Insert(piece);
+  } else {
+    store.Insert(trace);
+  }
+  return false;
 }
 
 }  // namespace streamcover

@@ -25,12 +25,12 @@
 #ifndef STREAMCOVER_GEOMETRY_CANONICAL_H_
 #define STREAMCOVER_GEOMETRY_CANONICAL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
 
 #include "geometry/primitives.h"
-#include "geometry/range_space.h"
 
 namespace streamcover {
 
@@ -75,25 +75,15 @@ class RectSplitter {
   std::vector<uint32_t> by_rank_;  // ids sorted by (x, y, id)
 };
 
-/// The canonical representation of the light ranges of a shape stream,
-/// projected on a sample point set — compCanonicalRep in Figure 4.1.
-struct CanonicalRep {
-  /// Deduplicated canonical traces, as indices into the sample.
-  std::vector<std::vector<uint32_t>> sets;
-  /// Stored words (sum of trace sizes) — the space the algorithm pays.
-  uint64_t stored_words = 0;
-  /// Ranges whose trace exceeded the lightness threshold `w` and were
-  /// stored wholesale (whp zero, see Lemma 4.5).
-  uint64_t oversize_ranges = 0;
-};
-
-/// One pass over `stream`: for every shape, computes its trace on
-/// `sample_points`; traces of size in [1, w] are canonicalized
-/// (rect split pieces / distinct-trace dedup) and stored. Larger traces
-/// are stored wholesale and counted in `oversize_ranges`.
-CanonicalRep CompCanonicalRep(ShapeStream& stream,
-                              const std::vector<Point>& sample_points,
-                              double w);
+/// compCanonicalRep's per-range step (Figure 4.1): files one range's
+/// trace on the sample (`trace`: sorted indices into the sample points
+/// `splitter` was built over) into `store`. Traces of size in [1, w] are
+/// canonicalized — rect split pieces, distinct-trace dedup for the other
+/// shapes; larger traces are stored wholesale. Returns true iff the
+/// trace was oversize (whp never, see Lemma 4.5).
+bool CanonicalizeRange(const Shape& shape, const std::vector<uint32_t>& trace,
+                       double w, const RectSplitter& splitter,
+                       TraceStore& store);
 
 }  // namespace streamcover
 

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <optional>
 #include <unordered_map>
 
 #include "geometry/canonical.h"
 #include "offline/greedy.h"
+#include "stream/parallel_guesses.h"
 #include "stream/sampling.h"
 #include "stream/space_tracker.h"
 #include "util/bitset.h"
@@ -16,294 +19,294 @@
 namespace streamcover {
 namespace {
 
-// Is `subset` (sorted) a subset of `superset` (sorted)?
-bool IsSubsetSorted(const std::vector<uint32_t>& subset,
-                    std::span<const uint32_t> superset) {
-  size_t j = 0;
-  for (uint32_t v : subset) {
-    while (j < superset.size() && superset[j] < v) ++j;
-    if (j == superset.size() || superset[j] != v) return false;
-    ++j;
-  }
-  return true;
+// Membership predicate over `bits`, for the std:: algorithms.
+auto InSet(const DynamicBitset& bits) {
+  return [&bits](uint32_t e) { return bits.Test(e); };
 }
 
-// `trace_cache` is a simulator-side cache of each shape's trace on the
-// full point set, materialized during the first scan so later logical
-// passes cost O(sum of trace sizes) instead of O(n*m) containment tests.
-// It is NOT charged to the algorithm's space: the algorithm only reads
-// it sequentially, exactly as it would re-test containment against the
-// streamed shape.
-GeomStreamingResult RunGuess(
-    ShapeStream& stream, const std::vector<Point>& points, uint64_t k,
-    const GeomSetCoverOptions& options, const OfflineSolver& offline,
-    SpaceTracker& tracker, Rng& rng,
-    std::vector<std::vector<uint32_t>>& trace_cache) {
-  const uint32_t n = static_cast<uint32_t>(points.size());
-  const uint32_t m = stream.num_shapes();
-  const double rho = offline.Rho(n);
-  const uint64_t iterations =
-      static_cast<uint64_t>(std::ceil(1.0 / options.delta) + 1e-9);
-  const uint64_t passes_before = stream.passes();
+// One guess k of algGeomSC as a ScanConsumer. Each of the 1/delta
+// iterations is three passes — heavy, canonical, match — and a final
+// sweep finishes off the stragglers. A streamed set is the trace of the
+// shape with the same id; the shape itself is read only to split
+// rectangles into canonical pieces. `stream` must be the range space of
+// `geometry`.
+class GeomGuess final : public ScanConsumer {
+ public:
+  GeomGuess(uint64_t k, const SetStream& stream, const GeomDataset& geometry,
+            const GeomSetCoverOptions& options)
+      : k_(k),
+        n_(static_cast<uint32_t>(geometry.points.size())),
+        m_(static_cast<uint32_t>(geometry.shapes.size())),
+        geometry_(&geometry),
+        options_(&options),
+        offline_(options.offline != nullptr ? options.offline : &greedy_),
+        rho_(offline_->Rho(n_)),
+        heavy_threshold_(static_cast<double>(n_) / static_cast<double>(k)),
+        rng_(options.seed ^ (k * 0x9e3779b97f4a7c15ULL)),
+        uncovered_(n_, true) {
+    SC_CHECK(options.delta > 0.0 && options.delta <= 1.0);
+    SC_CHECK(stream.num_elements() == n_ && stream.num_sets() == m_);
+    iterations_ = static_cast<uint64_t>(std::ceil(1.0 / options.delta) + 1e-9);
+    // The model stores the point set in memory: 2 words per point.
+    tracker_.Charge(2ULL * n_);
+    tracker_.Charge(uncovered_.WordCount());
+    StartIteration();
+  }
+  // offline_ may point at greedy_, and the scheduler holds the address.
+  GeomGuess(const GeomGuess&) = delete;
+  GeomGuess& operator=(const GeomGuess&) = delete;
 
-  GeomStreamingResult result;
-
-  // The model stores the point set in memory: 2 words per point.
-  tracker.Charge(2ULL * n);
-
-  DynamicBitset uncovered(n, true);
-  tracker.Charge(uncovered.WordCount());
-  Cover sol;
-
-  // One logical pass over the shapes. The first pass materializes the
-  // simulator-side trace cache (see GuessState comment) in the same
-  // single scan; later passes replay it. fn(id, shape, trace).
-  auto pass_over_traces = [&](auto&& fn) {
-    if (trace_cache.empty() && m > 0) {
-      trace_cache.resize(m);
-      stream.ForEachShape([&](uint32_t id, const Shape& shape) {
-        trace_cache[id] = TraceOf(shape, points);
-        fn(id, shape, trace_cache[id]);
-      });
-    } else {
-      stream.ForEachShape([&](uint32_t id, const Shape& shape) {
-        fn(id, shape, trace_cache[id]);
-      });
+  void OnSet(const SetView& set) override {
+    switch (phase_) {
+      case Phase::kHeavy: {
+        // Take every heavy range (|r ∩ L| >= |U|/k).
+        const auto gain =
+            std::count_if(set.begin(), set.end(), InSet(uncovered_));
+        if (gain > 0 && static_cast<double>(gain) >= heavy_threshold_) {
+          Take(set);
+          ++diag_.heavy_picked;
+        }
+        return;
+      }
+      case Phase::kCanonical: {
+        // The range's trace on the sample S, as local sample indices.
+        local_.clear();
+        for (uint32_t e : set) {
+          auto it = global_to_local_.find(e);
+          if (it != global_to_local_.end()) local_.push_back(it->second);
+        }
+        std::sort(local_.begin(), local_.end());
+        if (CanonicalizeRange(geometry_->shapes[set.id], local_, w_,
+                              *splitter_, store_)) {
+          ++diag_.oversize_ranges;
+        }
+        return;
+      }
+      case Phase::kMatch: {
+        // Replace each chosen canonical set by a superset range.
+        if (unmatched_ == 0) return;
+        for (size_t i = 0; i < chosen_.size(); ++i) {
+          if (matched_[i] || !std::includes(set.begin(), set.end(),
+                                            chosen_[i].begin(),
+                                            chosen_[i].end())) {
+            continue;
+          }
+          matched_[i] = true;
+          --unmatched_;
+          Take(set);
+        }
+        return;
+      }
+      case Phase::kFinalSweep: {
+        // Cover the <= k stragglers with one range each.
+        if (std::any_of(set.begin(), set.end(), InSet(uncovered_))) Take(set);
+        return;
+      }
+      case Phase::kDone:
+        return;
     }
-  };
+  }
 
-  const double heavy_threshold =
-      static_cast<double>(n) / static_cast<double>(k);
+  void OnPassEnd() override {
+    switch (phase_) {
+      case Phase::kHeavy:
+        FinishHeavy();
+        return;
+      case Phase::kCanonical:
+        FinishCanonical();
+        return;
+      case Phase::kMatch:
+        FinishMatch();
+        return;
+      case Phase::kFinalSweep:
+        Finalize();
+        return;
+      case Phase::kDone:
+        return;
+    }
+  }
 
-  for (uint64_t iter = 0; iter < iterations; ++iter) {
-    GeomIterationDiag diag;
-    diag.iteration = static_cast<uint32_t>(iter + 1);
-    diag.uncovered_before = uncovered.Count();
+  bool done() const override { return phase_ == Phase::kDone; }
 
-    // --- Pass 1: take every heavy range (|r ∩ L| >= |U|/k). ---
-    uint64_t heavy = 0;
-    pass_over_traces([&](uint32_t id, const Shape& /*shape*/,
-                         const std::vector<uint32_t>& trace) {
-      size_t gain = 0;
-      for (uint32_t e : trace) {
-        if (uncovered.Test(e)) ++gain;
-      }
-      if (gain > 0 && static_cast<double>(gain) >= heavy_threshold) {
-        sol.set_ids.push_back(id);
-        tracker.Charge(1);
-        for (uint32_t e : trace) uncovered.Reset(e);
-        ++heavy;
-      }
-    });
-    diag.heavy_picked = heavy;
+  uint64_t peak_words() const { return tracker_.peak_words(); }
 
-    uint64_t uncovered_count = uncovered.Count();
+  GeomStreamingResult TakeResult(uint64_t logical_passes) {
+    GeomStreamingResult result;
+    result.cover = std::move(sol_);
+    result.success = success_;
+    result.passes = logical_passes;
+    result.sequential_scans = logical_passes;
+    result.physical_scans = logical_passes;
+    result.space_words_parallel = tracker_.peak_words();
+    result.space_words_max_guess = tracker_.peak_words();
+    result.winning_k = k_;
+    result.diagnostics = std::move(diagnostics_);
+    return result;
+  }
+
+ private:
+  enum class Phase { kHeavy, kCanonical, kMatch, kFinalSweep, kDone };
+
+  void Take(const SetView& set) {
+    sol_.set_ids.push_back(set.id);
+    tracker_.Charge(1);
+    for (uint32_t e : set) uncovered_.Reset(e);
+  }
+
+  void StartIteration() {
+    diag_ = GeomIterationDiag{};
+    diag_.iteration = static_cast<uint32_t>(iter_ + 1);
+    diag_.uncovered_before = uncovered_.Count();
+    phase_ = Phase::kHeavy;
+  }
+
+  void FinishHeavy() {
+    const uint64_t uncovered_count = uncovered_.Count();
     if (uncovered_count == 0) {
-      diag.uncovered_after = 0;
-      result.diagnostics.push_back(diag);
-      break;
+      diagnostics_.push_back(diag_);
+      Finalize();
+      return;
     }
 
     // --- Sample S ⊆ L of size c*rho*k*(n/k)^delta*log m*log n. ---
     const uint64_t sample_size =
-        GeomSampleSize(options.sample_constant, rho, k, n, options.delta, m,
-                       uncovered_count);
-    std::vector<uint32_t> sample =
-        SampleFromBitset(uncovered, sample_size, rng);
-    diag.sample_size = sample.size();
-    tracker.Charge(sample.size());
+        GeomSampleSize(options_->sample_constant, rho_, k_, n_,
+                       options_->delta, m_, uncovered_count);
+    sample_ = SampleFromBitset(uncovered_, sample_size, rng_);
+    diag_.sample_size = sample_.size();
+    tracker_.Charge(sample_.size());
 
-    // The sample as a point set (local index -> global id via `sample`).
-    std::vector<Point> sample_points;
-    sample_points.reserve(sample.size());
-    for (uint32_t e : sample) sample_points.push_back(points[e]);
-    std::unordered_map<uint32_t, uint32_t> global_to_local;
-    global_to_local.reserve(sample.size() * 2);
-    for (uint32_t i = 0; i < sample.size(); ++i) {
-      global_to_local[sample[i]] = i;
+    // The sample as a point set (local index -> global id via sample_).
+    sample_points_.clear();
+    global_to_local_.clear();
+    global_to_local_.reserve(sample_.size() * 2);
+    for (uint32_t i = 0; i < sample_.size(); ++i) {
+      sample_points_.push_back(geometry_->points[sample_[i]]);
+      global_to_local_[sample_[i]] = i;
     }
+    w_ = std::max(1.0, options_->lightness_slack *
+                           static_cast<double>(sample_.size()) /
+                           static_cast<double>(k_));
+    splitter_.emplace(sample_points_);
+    store_ = TraceStore();
+    phase_ = Phase::kCanonical;
+  }
 
-    // --- Pass 2: canonical representation of the light ranges on S. ---
-    const double w = std::max(
-        1.0, options.lightness_slack * static_cast<double>(sample.size()) /
-                 static_cast<double>(k));
-    // Reuse the trace cache: a shape's trace on S is its trace on U
-    // filtered to sampled points (identical to what CompCanonicalRep
-    // computes geometrically).
-    RectSplitter splitter(sample_points);
-    TraceStore store;
-    uint64_t oversize = 0;
-    pass_over_traces([&](uint32_t /*id*/, const Shape& shape,
-                         const std::vector<uint32_t>& trace) {
-      std::vector<uint32_t> local;
-      for (uint32_t e : trace) {
-        auto it = global_to_local.find(e);
-        if (it != global_to_local.end()) local.push_back(it->second);
-      }
-      if (local.empty()) return;
-      std::sort(local.begin(), local.end());
-      if (static_cast<double>(local.size()) > w) {
-        ++oversize;
-        store.Insert(local);
-        return;
-      }
-      // Rect ranges are split into anchored canonical pieces
-      // (Lemma 4.2); disks and fat triangles are deduplicated wholesale
-      // (Lemma 4.4 recipe; see canonical.h).
-      if (const Rect* rect = std::get_if<Rect>(&shape)) {
-        for (const auto& piece : splitter.Decompose(*rect)) {
-          store.Insert(piece);
-        }
-      } else {
-        store.Insert(local);
-      }
-    });
-    diag.canonical_sets = store.size();
-    diag.canonical_words = store.total_words();
-    diag.oversize_ranges = oversize;
+  void FinishCanonical() {
+    diag_.canonical_sets = store_.size();
+    diag_.canonical_words = store_.total_words();
     // Definition 4.1: every canonical set has O(1) description (a disk,
     // an anchored rectangle piece, a triangle) — 4 words here. Its trace
     // is recomputable on demand from the description plus the sample
     // points already in memory, so the model charges descriptions, not
-    // trace lists (the trace lists above are transient solve scratch).
+    // trace lists (the trace lists are transient solve scratch).
     const uint64_t kDescriptionWords = 4;
-    tracker.Charge(kDescriptionWords * store.size());
+    tracker_.Charge(kDescriptionWords * store_.size());
 
     // --- Offline solve over (S, canonical sets). ---
-    SetSystem::Builder sub_builder(static_cast<uint32_t>(sample.size()));
-    for (const auto& trace : store.traces()) {
-      sub_builder.AddSet(trace);
-    }
-    SetSystem sub = std::move(sub_builder).Build();
-    OfflineResult offline_result = offline.Solve(sub);
+    SetSystem::Builder sub_builder(static_cast<uint32_t>(sample_.size()));
+    for (const auto& trace : store_.traces()) sub_builder.AddSet(trace);
+    OfflineResult offline_result =
+        offline_->Solve(std::move(sub_builder).Build());
 
     // Chosen canonical sets, as global point-id vectors.
-    std::vector<std::vector<uint32_t>> chosen;
+    chosen_.clear();
     for (uint32_t cid : offline_result.cover.set_ids) {
       std::vector<uint32_t> global;
-      for (uint32_t local : store.Get(cid)) global.push_back(sample[local]);
+      for (uint32_t local : store_.Get(cid)) global.push_back(sample_[local]);
       std::sort(global.begin(), global.end());
-      chosen.push_back(std::move(global));
+      chosen_.push_back(std::move(global));
     }
-    tracker.Release(kDescriptionWords * store.size());
+    tracker_.Release(kDescriptionWords * store_.size());
+    matched_.assign(chosen_.size(), false);
+    unmatched_ = chosen_.size();
+    phase_ = Phase::kMatch;
+  }
 
-    // --- Pass 3: replace each chosen canonical set by a superset range.
-    std::vector<bool> matched(chosen.size(), false);
-    size_t unmatched = chosen.size();
-    pass_over_traces([&](uint32_t id, const Shape& /*shape*/,
-                         const std::vector<uint32_t>& trace) {
-      if (unmatched == 0) return;
-      for (size_t i = 0; i < chosen.size(); ++i) {
-        if (matched[i]) continue;
-        if (IsSubsetSorted(chosen[i],
-                           std::span<const uint32_t>(trace))) {
-          matched[i] = true;
-          --unmatched;
-          sol.set_ids.push_back(id);
-          tracker.Charge(1);
-          for (uint32_t e : trace) uncovered.Reset(e);
-        }
-      }
-    });
+  void FinishMatch() {
     // Every canonical set is a sub-trace of some streamed range, so all
     // must match; CHECK defends the invariant.
-    SC_CHECK_EQ(unmatched, 0u);
-
-    tracker.Release(sample.size());
-
-    diag.uncovered_after = uncovered.Count();
-    result.diagnostics.push_back(diag);
-    if (diag.uncovered_after == 0) break;
+    SC_CHECK_EQ(unmatched_, 0u);
+    tracker_.Release(sample_.size());
+    diag_.uncovered_after = uncovered_.Count();
+    diagnostics_.push_back(diag_);
+    if (diag_.uncovered_after > 0 && ++iter_ < iterations_) {
+      StartIteration();
+    } else if (uncovered_.Any()) {
+      phase_ = Phase::kFinalSweep;
+    } else {
+      Finalize();
+    }
   }
 
-  // --- Final pass: cover the <= k stragglers with one range each. ---
-  if (uncovered.Any()) {
-    pass_over_traces([&](uint32_t id, const Shape& /*shape*/,
-                         const std::vector<uint32_t>& trace) {
-      bool hits = false;
-      for (uint32_t e : trace) {
-        if (uncovered.Test(e)) {
-          hits = true;
-          break;
-        }
-      }
-      if (hits) {
-        sol.set_ids.push_back(id);
-        tracker.Charge(1);
-        for (uint32_t e : trace) uncovered.Reset(e);
-      }
-    });
+  void Finalize() {
+    success_ = uncovered_.None();
+    tracker_.Release(uncovered_.WordCount());
+    tracker_.Release(2ULL * n_);
+    sol_.Deduplicate();
+    phase_ = Phase::kDone;
   }
 
-  result.success = uncovered.None();
-  tracker.Release(uncovered.WordCount());
-  tracker.Release(2ULL * n);
+  // Configuration. greedy_ is the offline solver unless options name
+  // one.
+  const uint64_t k_;
+  const uint32_t n_;
+  const uint32_t m_;
+  const GeomDataset* geometry_;
+  const GeomSetCoverOptions* options_;
+  GreedySolver greedy_;
+  const OfflineSolver* offline_;
+  const double rho_;
+  const double heavy_threshold_;
+  uint64_t iterations_ = 0;
 
-  sol.Deduplicate();
-  result.cover = std::move(sol);
-  result.winning_k = k;
-  result.passes = stream.passes() - passes_before;
-  result.sequential_scans = result.passes;
-  result.space_words_parallel = tracker.peak_words();
-  result.space_words_max_guess = tracker.peak_words();
-  return result;
-}
+  // Cross-iteration state.
+  Rng rng_;
+  SpaceTracker tracker_;
+  DynamicBitset uncovered_;
+  Cover sol_;
+  std::vector<GeomIterationDiag> diagnostics_;
+  uint64_t iter_ = 0;
+  bool success_ = false;
+  Phase phase_ = Phase::kDone;
+
+  // Per-iteration state.
+  GeomIterationDiag diag_;
+  std::vector<uint32_t> sample_;
+  std::vector<Point> sample_points_;
+  std::unordered_map<uint32_t, uint32_t> global_to_local_;
+  double w_ = 1.0;
+  std::optional<RectSplitter> splitter_;  // over sample_points_
+  TraceStore store_;
+  std::vector<uint32_t> local_;  // per-set transient, not charged
+  std::vector<std::vector<uint32_t>> chosen_;
+  std::vector<bool> matched_;
+  size_t unmatched_ = 0;
+};
 
 }  // namespace
 
-GeomStreamingResult AlgGeomSCSingleGuess(ShapeStream& stream,
-                                         const std::vector<Point>& points,
+GeomStreamingResult AlgGeomSCSingleGuess(PassScheduler& scheduler,
+                                         const GeomDataset& geometry,
                                          uint64_t k,
                                          const GeomSetCoverOptions& options) {
-  SC_CHECK(options.delta > 0.0 && options.delta <= 1.0);
-  GreedySolver default_solver;
-  const OfflineSolver& offline =
-      options.offline != nullptr ? *options.offline : default_solver;
-  SpaceTracker tracker;
-  Rng rng(options.seed ^ (k * 0x9e3779b97f4a7c15ULL));
-  std::vector<std::vector<uint32_t>> cache;
-  return RunGuess(stream, points, k, options, offline, tracker, rng, cache);
+  GeomGuess guess(k, scheduler.stream(), geometry, options);
+  PassScheduler::SoloRun run = scheduler.DriveToCompletion(guess);
+  GeomStreamingResult result = guess.TakeResult(run.logical_passes);
+  result.physical_scans = run.physical_scans;
+  return result;
 }
 
-GeomStreamingResult AlgGeomSC(ShapeStream& stream,
-                              const std::vector<Point>& points,
+GeomStreamingResult AlgGeomSC(PassScheduler& scheduler,
+                              const GeomDataset& geometry,
                               const GeomSetCoverOptions& options) {
-  SC_CHECK(options.delta > 0.0 && options.delta <= 1.0);
-  GreedySolver default_solver;
-  const OfflineSolver& offline =
-      options.offline != nullptr ? *options.offline : default_solver;
-
-  const uint32_t n = static_cast<uint32_t>(points.size());
-  GeomStreamingResult best;
-  uint64_t passes_max = 0;
-  uint64_t scans_total = 0;
-  uint64_t space_sum = 0;
-  uint64_t space_max = 0;
-
-  std::vector<std::vector<uint32_t>> cache;  // shared across guesses
-  for (uint64_t k = 1;; k *= 2) {
-    SpaceTracker tracker;
-    Rng rng(options.seed ^ (k * 0x9e3779b97f4a7c15ULL));
-    GeomStreamingResult guess =
-        RunGuess(stream, points, k, options, offline, tracker, rng, cache);
-
-    passes_max = std::max(passes_max, guess.passes);
-    scans_total += guess.sequential_scans;
-    space_sum += tracker.peak_words();
-    space_max = std::max(space_max, tracker.peak_words());
-
-    if (guess.success &&
-        (!best.success || guess.cover.size() < best.cover.size())) {
-      best = std::move(guess);
-    }
-    if (k >= n) break;
-  }
-
-  best.passes = passes_max;
-  best.sequential_scans = scans_total;
-  best.space_words_parallel = space_sum;
-  best.space_words_max_guess = space_max;
-  return best;
+  return RunParallelGuesses(
+      scheduler,
+      [&](uint64_t k) {
+        return std::make_unique<GeomGuess>(k, scheduler.stream(), geometry,
+                                           options);
+      },
+      [](auto&) {});
 }
 
 }  // namespace streamcover

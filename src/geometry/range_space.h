@@ -1,10 +1,8 @@
-// Bridges between the geometric world and the abstract SetSystem world,
-// plus the sequential shape stream (the geometric analogue of SetStream).
+// Bridge between the geometric world and the abstract SetSystem world.
 
 #ifndef STREAMCOVER_GEOMETRY_RANGE_SPACE_H_
 #define STREAMCOVER_GEOMETRY_RANGE_SPACE_H_
 
-#include <cstdint>
 #include <vector>
 
 #include "geometry/primitives.h"
@@ -13,37 +11,11 @@
 namespace streamcover {
 
 /// Materializes the range space (points, shapes) as an abstract
-/// SetSystem: set i = trace of shape i. O(n m) time/space — used by
-/// offline comparators and tests, never by the streaming algorithm.
+/// SetSystem: set i = trace of shape i. O(n m) time/space. It is the
+/// repository every solver streams on a geometric instance — algGeomSC
+/// included, which reads shape i beside set i only to split rectangles.
 SetSystem BuildRangeSpace(const std::vector<Point>& points,
                           const std::vector<Shape>& shapes);
-
-/// Sequential, pass-counted access to the shape family. The point set is
-/// memory-resident (the model grants O~(n)); the shapes are stream-only.
-class ShapeStream {
- public:
-  /// Does not take ownership; `shapes` must outlive the stream.
-  explicit ShapeStream(const std::vector<Shape>* shapes);
-
-  uint32_t num_shapes() const {
-    return static_cast<uint32_t>(shapes_->size());
-  }
-
-  /// One pass: fn(shape_id, shape) in stream order.
-  template <typename Fn>
-  void ForEachShape(Fn&& fn) {
-    ++passes_;
-    for (uint32_t i = 0; i < shapes_->size(); ++i) {
-      fn(i, (*shapes_)[i]);
-    }
-  }
-
-  uint64_t passes() const { return passes_; }
-
- private:
-  const std::vector<Shape>* shapes_;
-  uint64_t passes_ = 0;
-};
 
 }  // namespace streamcover
 

@@ -1,7 +1,7 @@
 // Tests for the canonical representation machinery (Definition 4.1,
 // Lemmas 4.2/4.4): TraceStore dedup, RectSplitter's exact-partition
 // property, the near-linear canonical family on the Figure 1.2
-// pathology, and CompCanonicalRep.
+// pathology, and CanonicalizeRange — compCanonicalRep's per-range step.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,8 @@
 
 #include "geometry/canonical.h"
 #include "geometry/geom_generators.h"
+#include "geometry/range_space.h"
+#include "stream/set_stream.h"
 #include "util/rng.h"
 
 namespace streamcover {
@@ -122,7 +124,33 @@ TEST(Figure12CanonicalTest, QuadraticTracesCollapseToLinearFamily) {
   EXPECT_LE(store.size(), 2u * n);
 }
 
-TEST(CompCanonicalRepTest, CoversLightTracesOfAllShapeClasses) {
+// compCanonicalRep (Figure 4.1) over (points, shapes): one pass over the
+// range-space stream, each trace filed by CanonicalizeRange.
+struct CanonicalRep {
+  std::vector<std::vector<uint32_t>> sets;
+  uint64_t oversize_ranges = 0;
+  uint64_t passes = 0;
+};
+
+CanonicalRep CanonicalRepOf(const std::vector<Point>& points,
+                            const std::vector<Shape>& shapes, double w) {
+  SetSystem ranges = BuildRangeSpace(points, shapes);
+  SetStream stream(&ranges);
+  RectSplitter splitter(points);
+  TraceStore store;
+  CanonicalRep rep;
+  stream.ForEachSet([&](const SetView& set) {
+    const std::vector<uint32_t> trace(set.begin(), set.end());
+    if (CanonicalizeRange(shapes[set.id], trace, w, splitter, store)) {
+      ++rep.oversize_ranges;
+    }
+  });
+  rep.sets = store.traces();
+  rep.passes = stream.passes();
+  return rep;
+}
+
+TEST(CanonicalizeRangeTest, CoversLightTracesOfAllShapeClasses) {
   Rng rng(7);
   GeomPlantedOptions options;
   options.num_points = 150;
@@ -131,9 +159,8 @@ TEST(CompCanonicalRepTest, CoversLightTracesOfAllShapeClasses) {
   options.shape_class = ShapeClass::kDisk;
   GeomInstance inst = GeneratePlantedGeom(options, rng);
 
-  ShapeStream stream(&inst.shapes);
-  CanonicalRep rep = CompCanonicalRep(stream, inst.points, /*w=*/1e9);
-  EXPECT_EQ(stream.passes(), 1u);
+  CanonicalRep rep = CanonicalRepOf(inst.points, inst.shapes, /*w=*/1e9);
+  EXPECT_EQ(rep.passes, 1u);
   EXPECT_EQ(rep.oversize_ranges, 0u);
   // Every nonempty trace appears exactly once (dedup).
   std::set<std::vector<uint32_t>> distinct;
@@ -144,17 +171,16 @@ TEST(CompCanonicalRepTest, CoversLightTracesOfAllShapeClasses) {
   EXPECT_EQ(rep.sets.size(), distinct.size());
 }
 
-TEST(CompCanonicalRepTest, OversizeRangesCountedAndKept) {
+TEST(CanonicalizeRangeTest, OversizeRangesCountedAndKept) {
   std::vector<Point> points = {{0, 0}, {1, 0}, {2, 0}, {3, 0}};
   std::vector<Shape> shapes = {Disk{{1.5, 0}, 10}};  // covers all 4
-  ShapeStream stream(&shapes);
-  CanonicalRep rep = CompCanonicalRep(stream, points, /*w=*/2.0);
+  CanonicalRep rep = CanonicalRepOf(points, shapes, /*w=*/2.0);
   EXPECT_EQ(rep.oversize_ranges, 1u);
   ASSERT_EQ(rep.sets.size(), 1u);
   EXPECT_EQ(rep.sets[0].size(), 4u);  // stored wholesale
 }
 
-TEST(CompCanonicalRepTest, RectPiecesUnionToTraces) {
+TEST(CanonicalizeRangeTest, RectPiecesUnionToTraces) {
   Rng rng(9);
   std::vector<Point> points;
   for (int i = 0; i < 80; ++i) {
@@ -165,8 +191,7 @@ TEST(CompCanonicalRepTest, RectPiecesUnionToTraces) {
     double x = rng.UniformDouble() * 45, y = rng.UniformDouble() * 45;
     shapes.push_back(Rect{x, y, x + 5, y + 5});
   }
-  ShapeStream stream(&shapes);
-  CanonicalRep rep = CompCanonicalRep(stream, points, /*w=*/1e9);
+  CanonicalRep rep = CanonicalRepOf(points, shapes, /*w=*/1e9);
   // Each shape's trace must be expressible as a union of canonical sets.
   std::set<std::vector<uint32_t>> canonical(rep.sets.begin(),
                                             rep.sets.end());

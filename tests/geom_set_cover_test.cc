@@ -10,6 +10,7 @@
 #include "geometry/geom_set_cover.h"
 #include "geometry/range_space.h"
 #include "offline/greedy.h"
+#include "stream/pass_scheduler.h"
 
 namespace streamcover {
 namespace {
@@ -26,17 +27,30 @@ GeomInstance MakeInstance(ShapeClass cls, uint64_t seed,
   return GeneratePlantedGeom(options, rng);
 }
 
+// Runs algGeomSC over the range-space stream of (points, shapes); k > 0
+// runs only that guess.
+GeomStreamingResult Solve(const std::vector<Point>& points,
+                          const std::vector<Shape>& shapes,
+                          const GeomSetCoverOptions& options,
+                          uint64_t k = 0) {
+  const GeomDataset geometry{points, shapes};
+  SetSystem ranges = BuildRangeSpace(points, shapes);
+  SetStream stream(&ranges);
+  PassScheduler scheduler(stream);
+  return k > 0 ? AlgGeomSCSingleGuess(scheduler, geometry, k, options)
+               : AlgGeomSC(scheduler, geometry, options);
+}
+
 class GeomSetCoverShapeTest
     : public ::testing::TestWithParam<std::tuple<ShapeClass, uint64_t>> {};
 
 TEST_P(GeomSetCoverShapeTest, ProducesFeasibleCover) {
   auto [cls, seed] = GetParam();
   GeomInstance inst = MakeInstance(cls, seed);
-  ShapeStream stream(&inst.shapes);
   GeomSetCoverOptions options;
   options.delta = 0.25;
   options.seed = seed;
-  GeomStreamingResult result = AlgGeomSC(stream, inst.points, options);
+  GeomStreamingResult result = Solve(inst.points, inst.shapes, options);
   ASSERT_TRUE(result.success);
   SetSystem system = BuildRangeSpace(inst.points, inst.shapes);
   EXPECT_TRUE(IsFullCover(system, result.cover));
@@ -45,11 +59,10 @@ TEST_P(GeomSetCoverShapeTest, ProducesFeasibleCover) {
 TEST_P(GeomSetCoverShapeTest, ApproximationNearPlanted) {
   auto [cls, seed] = GetParam();
   GeomInstance inst = MakeInstance(cls, seed);
-  ShapeStream stream(&inst.shapes);
   GeomSetCoverOptions options;
   options.delta = 0.25;
   options.seed = seed;
-  GeomStreamingResult result = AlgGeomSC(stream, inst.points, options);
+  GeomStreamingResult result = Solve(inst.points, inst.shapes, options);
   ASSERT_TRUE(result.success);
   // O(rho)-approximation with rho = ln n greedy: generous constant.
   double rho = std::log(inst.points.size()) + 1;
@@ -66,11 +79,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(GeomSetCoverTest, PassBoundPerGuess) {
   GeomInstance inst = MakeInstance(ShapeClass::kDisk, 5);
-  ShapeStream stream(&inst.shapes);
   GeomSetCoverOptions options;
   options.delta = 0.25;
   GeomStreamingResult result =
-      AlgGeomSCSingleGuess(stream, inst.points, 8, options);
+      Solve(inst.points, inst.shapes, options, /*k=*/8);
   // 3 passes per iteration, <= 1/delta iterations, + final sweep.
   EXPECT_LE(result.passes,
             3 * static_cast<uint64_t>(std::ceil(1.0 / options.delta)) + 1);
@@ -80,10 +92,9 @@ TEST(GeomSetCoverTest, SpaceIsNearLinearInPoints) {
   // Theorem 4.6: O~(n) space even with m >> n.
   GeomInstance inst =
       MakeInstance(ShapeClass::kDisk, 6, /*n=*/300, /*m=*/3000, /*k=*/6);
-  ShapeStream stream(&inst.shapes);
   GeomSetCoverOptions options;
   options.delta = 0.25;
-  GeomStreamingResult result = AlgGeomSC(stream, inst.points, options);
+  GeomStreamingResult result = Solve(inst.points, inst.shapes, options);
   ASSERT_TRUE(result.success);
   // The heaviest guess's footprint stays within polylog(n) * n words.
   const double n = inst.points.size();
@@ -96,10 +107,9 @@ TEST(GeomSetCoverTest, HandlesFigure12Pathology) {
   // Theta(n^2) distinct shallow rectangles: canonical splitting must
   // keep the stored family small and the cover near OPT = 2.
   GeomInstance inst = GenerateFigure12(64);
-  ShapeStream stream(&inst.shapes);
   GeomSetCoverOptions options;
   options.delta = 0.25;
-  GeomStreamingResult result = AlgGeomSC(stream, inst.points, options);
+  GeomStreamingResult result = Solve(inst.points, inst.shapes, options);
   ASSERT_TRUE(result.success);
   SetSystem system = BuildRangeSpace(inst.points, inst.shapes);
   EXPECT_TRUE(IsFullCover(system, result.cover));
@@ -114,19 +124,17 @@ TEST(GeomSetCoverTest, DeterministicPerSeed) {
   GeomSetCoverOptions options;
   options.delta = 0.25;
   options.seed = 3;
-  ShapeStream s1(&inst.shapes), s2(&inst.shapes);
-  GeomStreamingResult a = AlgGeomSC(s1, inst.points, options);
-  GeomStreamingResult b = AlgGeomSC(s2, inst.points, options);
+  GeomStreamingResult a = Solve(inst.points, inst.shapes, options);
+  GeomStreamingResult b = Solve(inst.points, inst.shapes, options);
   EXPECT_EQ(a.cover.set_ids, b.cover.set_ids);
 }
 
 TEST(GeomSetCoverTest, DiagnosticsTrackResidualShrink) {
   GeomInstance inst = MakeInstance(ShapeClass::kDisk, 8);
-  ShapeStream stream(&inst.shapes);
   GeomSetCoverOptions options;
   options.delta = 0.25;
   GeomStreamingResult result =
-      AlgGeomSCSingleGuess(stream, inst.points, 8, options);
+      Solve(inst.points, inst.shapes, options, /*k=*/8);
   ASSERT_FALSE(result.diagnostics.empty());
   for (const auto& diag : result.diagnostics) {
     EXPECT_LE(diag.uncovered_after, diag.uncovered_before);
@@ -136,9 +144,8 @@ TEST(GeomSetCoverTest, DiagnosticsTrackResidualShrink) {
 TEST(GeomSetCoverTest, SinglePointSingleShape) {
   std::vector<Point> points = {{1, 1}};
   std::vector<Shape> shapes = {Disk{{1, 1}, 2}};
-  ShapeStream stream(&shapes);
   GeomSetCoverOptions options;
-  GeomStreamingResult result = AlgGeomSC(stream, points, options);
+  GeomStreamingResult result = Solve(points, shapes, options);
   ASSERT_TRUE(result.success);
   EXPECT_EQ(result.cover.size(), 1u);
 }

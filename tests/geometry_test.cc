@@ -1,14 +1,16 @@
-// Tests for geometric primitives, traces, range-space bridging, the
-// shape stream, and the geometric generators.
+// Tests for geometric primitives, traces, range-space bridging, pass
+// counting on the range-space stream, and the geometric generators.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "geometry/geom_generators.h"
+#include "geometry/geom_set_cover.h"
 #include "geometry/primitives.h"
 #include "geometry/range_space.h"
 #include "setsystem/cover.h"
+#include "stream/pass_scheduler.h"
 
 namespace streamcover {
 namespace {
@@ -98,13 +100,23 @@ TEST(RangeSpaceTest, MatchesBruteForceTraces) {
   }
 }
 
-TEST(ShapeStreamTest, CountsPasses) {
+TEST(RangeSpaceTest, SchedulerCountsGeomPasses) {
+  // algGeomSC streams the range space on a PassScheduler: every pass is
+  // one scheduler round, one physical scan and one stream pass. With
+  // one point, guess k = 1 takes the first shape as heavy in pass 1.
+  std::vector<Point> points = {{0.5, 0.5}};
   std::vector<Shape> shapes = {Disk{{0, 0}, 1}, Rect{0, 0, 1, 1}};
-  ShapeStream stream(&shapes);
-  EXPECT_EQ(stream.num_shapes(), 2u);
-  uint32_t visited = 0;
-  stream.ForEachShape([&](uint32_t, const Shape&) { ++visited; });
-  EXPECT_EQ(visited, 2u);
+  SetSystem ranges = BuildRangeSpace(points, shapes);
+  SetStream stream(&ranges);
+  PassScheduler scheduler(stream);
+  EXPECT_EQ(stream.num_sets(), 2u);
+  GeomStreamingResult result = AlgGeomSCSingleGuess(
+      scheduler, GeomDataset{points, shapes}, /*k=*/1, {});
+  ASSERT_TRUE(result.success);
+  EXPECT_EQ(result.cover.set_ids, (std::vector<uint32_t>{0}));
+  EXPECT_EQ(result.passes, 1u);
+  EXPECT_EQ(result.physical_scans, 1u);
+  EXPECT_EQ(scheduler.physical_scans(), 1u);
   EXPECT_EQ(stream.passes(), 1u);
 }
 

@@ -33,6 +33,17 @@ PlantedInstance SharedInstance() {
   return GeneratePlanted(options, rng);
 }
 
+Instance PlantedDiskInstance() {
+  Rng rng(5);
+  GeomPlantedOptions options;
+  options.num_points = 150;
+  options.num_shapes = 400;
+  options.cover_size = 4;
+  options.shape_class = ShapeClass::kDisk;
+  return Instance::FromGeometry(GeneratePlantedGeom(options, rng),
+                                {"planted-disks", "test"});
+}
+
 TEST(SolverRegistryTest, EnumeratesAtLeastEightSolvers) {
   const std::vector<std::string> names = SolverRegistry::Global().Names();
   EXPECT_GE(names.size(), 8u);
@@ -137,13 +148,17 @@ TEST(SolverRegistryTest, SampleConstantDefaultsAgreeEverywhere) {
 TEST(SolverRegistryTest, ThreadCountNeverChangesResults) {
   // The scheduler's worker fan-out is an execution detail: every thread
   // count must produce the byte-identical cover and identical
-  // accounting for every scheduler-driven solver.
+  // accounting for every scheduler-driven solver, algGeomSC included.
   PlantedInstance inst = SharedInstance();
-  for (const char* solver : {"iter", "dimv14", "threshold_greedy"}) {
+  for (const char* solver : {"iter", "dimv14", "threshold_greedy", "geom"}) {
+    const bool geom = std::string(solver) == "geom";
     RunOptions options;
+    options.delta = geom ? 0.25 : 0.5;
     options.sample_constant = 0.05;
     options.seed = 11;
-    Instance instance = Instance::WrapSystem(&inst.system, {"shared", ""});
+    Instance instance = geom ? PlantedDiskInstance()
+                             : Instance::WrapSystem(&inst.system,
+                                                    {"shared", ""});
     RunResult serial = RunSolver(solver, instance, options);
     options.threads = 4;
     RunResult threaded = RunSolver(solver, instance, options);
@@ -186,6 +201,19 @@ TEST(SolverRegistryTest, MultiGuessRunCollapsesPhysicalScans) {
   ASSERT_TRUE(r.ok()) << r.error;
   EXPECT_EQ(r.physical_scans, r.passes);
   EXPECT_GT(r.sequential_scans, r.physical_scans);
+}
+
+TEST(SolverRegistryTest, MultiGuessGeomRunCollapsesPhysicalScans) {
+  // algGeomSC's guesses share the scans the same way.
+  Instance instance = PlantedDiskInstance();
+  RunOptions options;
+  options.delta = 0.25;
+  options.sample_constant = 0.05;
+  options.seed = 3;
+  RunResult r = RunSolver("geom", instance, options);
+  ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_EQ(r.physical_scans, r.passes);
+  EXPECT_LT(r.passes, r.sequential_scans);
 }
 
 TEST(SolverRegistryTest, RegisterRejectsDuplicatesAndEmptyEntries) {

@@ -52,8 +52,10 @@
 //   generate-geom --type disk|rect|tri|figure12 --n N --m M --k K
 //            [--seed SEED] --out FILE
 //       Writes a geometric instance (geometry/geom_io.h format).
-//   solve-geom --in FILE [--delta D] [--seed SEED]
-//       Runs algGeomSC (Theorem 4.6) on a geometric instance file.
+//   solve-geom --in FILE [--delta D] [--seed SEED] [--threads N]
+//       Runs algGeomSC (Theorem 4.6) on a geometric instance file:
+//       `solve --algo geom` on the loaded file, with --delta 0.25 by
+//       default. Takes solve's other flags and prints its result line.
 //   selftest
 //       Exercises generate -> stats -> solve -> sweep (abstract and
 //       geometric) in a temp dir (used by ctest).
@@ -202,7 +204,8 @@ int Usage() {
       "[--kernel scalar|word|auto] [--early-exit] [--json FILE]\n"
       "  streamcover_cli generate-geom --type disk|rect|tri|figure12 "
       "--n N --m M --k K [--seed SEED] --out FILE\n"
-      "  streamcover_cli solve-geom --in FILE [--delta D] [--seed SEED]\n"
+      "  streamcover_cli solve-geom --in FILE [--delta D (default 0.25)] "
+      "[--seed SEED] [--threads N] (any solve flag)\n"
       "  streamcover_cli selftest\n");
   return 1;
 }
@@ -273,41 +276,6 @@ int CmdGenerateGeom(const Args& args) {
               out.c_str(), dataset.points.size(), dataset.shapes.size(),
               instance.planted_cover.size());
   return 0;
-}
-
-int CmdSolveGeom(const Args& args) {
-  const std::string in = args.Get("in");
-  if (in.empty()) return Usage();
-  std::string error;
-  auto dataset = LoadGeomDatasetFromFile(in, &error);
-  if (!dataset) {
-    std::fprintf(stderr, "load failed: %s\n", error.c_str());
-    return 1;
-  }
-  GeomInstance geom;
-  geom.points = std::move(dataset->points);
-  geom.shapes = std::move(dataset->shapes);
-  Instance instance =
-      Instance::FromGeometry(std::move(geom), {in, "file:" + in});
-
-  RunOptions options;
-  options.delta = args.GetDouble("delta", 0.25);
-  options.sample_constant = args.GetDouble("c", 0.05);
-  options.seed = static_cast<uint64_t>(args.GetInt("seed", 1));
-  if (args.BadFlags()) return 1;
-  RunResult r = RunSolver("geom", instance, options);
-  if (!r.ok()) {
-    std::fprintf(stderr, "%s\n", r.error.c_str());
-    return 1;
-  }
-  const bool feasible = instance.VerifyCover(r.cover);
-  std::printf("algGeomSC success=%s cover=%zu feasible=%s passes=%llu "
-              "space_words=%llu\n",
-              r.success ? "yes" : "no", r.cover.size(),
-              feasible ? "yes" : "no",
-              static_cast<unsigned long long>(r.passes),
-              static_cast<unsigned long long>(r.space_words));
-  return (r.success && feasible) ? 0 : 1;
 }
 
 int CmdGenerate(const Args& args) {
@@ -708,6 +676,26 @@ int SolveOnInstance(Instance& instance, const Args& args) {
               static_cast<unsigned long long>(r.physical_scans),
               static_cast<unsigned long long>(r.space_words));
   return r.success ? 0 : 1;
+}
+
+/// Loads a geometry file and solves it with algGeomSC through the same
+/// path as `solve --algo geom`; --delta defaults to 1/4 (Theorem 4.6's
+/// constant-pass setting).
+int CmdSolveGeom(Args args) {
+  const std::string in = args.Get("in");
+  if (in.empty()) return Usage();
+  std::string error;
+  auto dataset = LoadGeomDatasetFromFile(in, &error);
+  if (!dataset) {
+    std::fprintf(stderr, "load failed: %s\n", error.c_str());
+    return 1;
+  }
+  Instance instance = Instance::FromGeometry(
+      {std::move(dataset->points), std::move(dataset->shapes), {}},
+      {in, "file:" + in});
+  args.flags["algo"] = "geom";
+  args.flags.emplace("delta", "0.25");
+  return SolveOnInstance(instance, args);
 }
 
 int CmdListSolvers() {

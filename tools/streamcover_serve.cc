@@ -31,6 +31,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -172,21 +173,29 @@ ServeArgs ParseArgs(int argc, char** argv) {
 
 // ---------------------------------------------------------------------
 // Line framing shared by both front ends: append a read chunk, peel off
-// complete lines.
+// complete lines. `buffer` never holds a newline between calls, so the
+// search starts at the new bytes and a long line costs one pass over
+// them, not one per chunk. End of input (n <= 0) terminates a final
+// line that has no newline. Returns false at end of input.
 
-void DrainLines(std::string& buffer, CoverageServer& server,
-                const CoverageServer::Responder& respond) {
+bool FeedLines(const char* chunk, ssize_t n, std::string& buffer,
+               CoverageServer& server,
+               const CoverageServer::Responder& respond) {
   size_t start = 0;
+  size_t from = buffer.size();
+  buffer.append(n > 0 ? std::string_view(chunk, static_cast<size_t>(n))
+                      : std::string_view("\n"));
   for (;;) {
-    const size_t nl = buffer.find('\n', start);
+    const size_t nl = buffer.find('\n', from);
     if (nl == std::string::npos) break;
     std::string line = buffer.substr(start, nl - start);
-    start = nl + 1;
+    start = from = nl + 1;
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
     server.HandleLine(line, respond);
   }
   buffer.erase(0, start);
+  return n > 0;
 }
 
 // ---------------------------------------------------------------------
@@ -214,9 +223,8 @@ int ServeStdio(CoverageServer& server) {
     if (fds[1].revents != 0) break;  // signal: drain below
     if (fds[0].revents == 0) continue;
     const ssize_t n = ::read(STDIN_FILENO, chunk, sizeof(chunk));
-    if (n <= 0) break;  // EOF (or error): drain below
-    buffer.append(chunk, static_cast<size_t>(n));
-    DrainLines(buffer, server, respond);
+    // EOF (or error): drain below.
+    if (!FeedLines(chunk, n, buffer, server, respond)) break;
   }
   server.Shutdown();
   return 0;
@@ -248,9 +256,7 @@ void ServeConnection(std::shared_ptr<Connection> conn,
   char chunk[4096];
   for (;;) {
     const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) break;
-    buffer.append(chunk, static_cast<size_t>(n));
-    DrainLines(buffer, *server, respond);
+    if (!FeedLines(chunk, n, buffer, *server, respond)) break;
   }
 }
 
